@@ -250,8 +250,11 @@ func execute(e *env, w workload) (*report, error) {
 		}
 	} else {
 		m = o.layer
-		m.set("runtime.alloc_mb", "MB", float64(after.TotalAlloc-before.TotalAlloc)/(1<<20))
-		m.set("runtime.gc_cycles", "count", float64(after.NumGC-before.NumGC))
+		// Per repetition: how many repetitions fit in -seconds depends on
+		// the host's speed.
+		reps := float64(len(o.walls))
+		m.set("runtime.alloc_mb", "MB", float64(after.TotalAlloc-before.TotalAlloc)/(1<<20)/reps)
+		m.set("runtime.gc_cycles", "count", float64(after.NumGC-before.NumGC)/reps)
 		m.set("traced.wall_s", "s", median(o.walls))
 		if err := completeLayers(m); err != nil {
 			return nil, err

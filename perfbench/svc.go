@@ -131,7 +131,7 @@ type svc struct {
 	wait      []float64
 	fetch     []float64
 	bytes     float64
-	spans     []int // each job's stream span, first repetition
+	spans     [][]int // each job's stream spans, one per repetition
 }
 
 func newSvc(e *env) workload {
@@ -230,10 +230,11 @@ func (s *svc) unit(e *env) (unitResult, error) {
 			s.submit = append(s.submit, rec.submit)
 			s.fetch = append(s.fetch, rec.fetch)
 			s.latencies = append(s.latencies, rec.latency)
-			s.spans = append(s.spans, rec.streamSpan)
 			s.wait = append(s.wait, rec.wait)
 			s.bytes += float64(rec.bytes)
+			s.spans = append(s.spans, nil)
 		}
+		s.spans[i] = append(s.spans[i], rec.streamSpan)
 	}
 	u.wall = time.Since(start).Seconds()
 	u.rss = peakRSSMB()
@@ -388,7 +389,7 @@ func (s *svc) finish(e *env, o *outcome) error {
 		e.tr.End(sp)
 		refSecs += build + sweeps[i]
 		latSecs += s.latencies[i]
-		e.tr.Attribute(s.spans[i], "design", build)
+		s.attribute(e, i, "design", build)
 		if !sameResults(res, s.results[i]) {
 			o.fail("job %d (%s): service results differ from the in-process sweep", i, j.class)
 		}
@@ -433,17 +434,27 @@ func (s *svc) finish(e *env, o *outcome) error {
 	// sweep of the same spec says how much of that was simulation.
 	for i, j := range s.jobs {
 		if j.spec.Trace == "" {
-			e.tr.Attribute(s.spans[i], "netsim", sweeps[i])
+			s.attribute(e, i, "netsim", sweeps[i])
 		}
 	}
 	for i, c := range costs {
 		if isTrace(pts[i]) {
 			job := owner[i]
-			c.attribute(e, s.spans[job])
-			e.tr.Attribute(s.spans[job], "session", sweeps[job]-c.gen-c.memsys)
+			for _, sp := range s.spans[job] {
+				c.attribute(e, sp)
+			}
+			s.attribute(e, job, "session", sweeps[job]-c.gen-c.memsys)
 		}
 	}
 	return nil
+}
+
+// attribute hands secs of job i's stream span in every repetition to
+// layer: each repetition ran the same spec.
+func (s *svc) attribute(e *env, i int, layer string, secs float64) {
+	for _, sp := range s.spans[i] {
+		e.tr.Attribute(sp, layer, secs)
+	}
 }
 
 // sameResults reports whether in-process results encode to the bytes the
