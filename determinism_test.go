@@ -2,8 +2,14 @@ package stringfigure
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
+	"flag"
+	"os"
+	"path/filepath"
+	"sync"
 	"testing"
 )
 
@@ -14,10 +20,70 @@ import (
 // (invariant 6). The contract is bit-identity: the event scheduler, packet
 // pooling, batched routing evaluation and the incremental occupancy counter
 // may change nothing observable, for any design, workload or gate schedule.
+//
+// Every cell is also pinned to history: the SHA-256 of its event-core JSON
+// must match testdata/golden/crosscore.json, keyed by test name and cell
+// label, so a refactor cannot shift a number both cores share. Rewrite the
+// pins only when a result change is intended, with
+// `go test -run 'TestCrossCore' -update .`. The digests assume amd64
+// floating point (no fused multiply-add).
 
-// coreDiff runs fn under both cores and byte-compares the JSON of whatever
-// it returns (results, snapshot streams, saturation rates...).
-func coreDiff(t *testing.T, label string, fn func(cfg SessionConfig) any, cfg SessionConfig) {
+var updateGolden = flag.Bool("update", false, "rewrite the cross-core golden digests in "+goldenCrossCore)
+
+const goldenCrossCore = "testdata/golden/crosscore.json"
+
+var golden struct {
+	sync.Mutex
+	digests map[string]string // nil until loaded
+}
+
+// checkGolden compares (or, with -update, records) the digest of one
+// cross-core cell.
+func checkGolden(t *testing.T, key string, out []byte) {
+	t.Helper()
+	sum := sha256.Sum256(out)
+	digest := hex.EncodeToString(sum[:])
+	golden.Lock()
+	defer golden.Unlock()
+	if golden.digests == nil {
+		golden.digests = make(map[string]string)
+		b, err := os.ReadFile(goldenCrossCore)
+		if err != nil && !(*updateGolden && os.IsNotExist(err)) {
+			t.Fatalf("golden digests: %v", err)
+		}
+		if err == nil {
+			if err := json.Unmarshal(b, &golden.digests); err != nil {
+				t.Fatalf("golden digests: %v", err)
+			}
+		}
+	}
+	if !*updateGolden {
+		want, ok := golden.digests[key]
+		switch {
+		case !ok:
+			t.Errorf("%s: no golden digest in %s (record it with -update)", key, goldenCrossCore)
+		case want != digest:
+			t.Errorf("%s: result drifted from history: sha256 %s, golden %s", key, digest, want)
+		}
+		return
+	}
+	golden.digests[key] = digest
+	b, err := json.MarshalIndent(golden.digests, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.MkdirAll(filepath.Dir(goldenCrossCore), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(goldenCrossCore, append(b, '\n'), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// coreDiff runs fn under both cores, byte-compares the JSON of whatever it
+// returns (results, snapshot streams, saturation rates...), checks the
+// event-core encoding against its golden digest and returns it.
+func coreDiff(t *testing.T, label string, fn func(cfg SessionConfig) any, cfg SessionConfig) []byte {
 	t.Helper()
 	encode := func(ref bool) []byte {
 		c := cfg
@@ -34,6 +100,8 @@ func coreDiff(t *testing.T, label string, fn func(cfg SessionConfig) any, cfg Se
 	if !bytes.Equal(ev, ref) {
 		t.Errorf("%s: cores diverge\nevent: %s\nref:   %s", label, clip(ev), clip(ref))
 	}
+	checkGolden(t, t.Name()+":"+label, ev)
+	return ev
 }
 
 func clip(b []byte) string {
@@ -316,30 +384,47 @@ func TestScenarioTelemetryOnOffIdentity(t *testing.T) {
 // gate scenario between the two cores: pages and sockets place on the
 // nodes that stay powered, the gated quadrant's crossing traffic reroutes
 // mid-replay, and the whole transient must be bit-identical
-// event-vs-reference. Rate scenarios have no closed-loop meaning, so the
-// same config with a diurnal spec must reject with ErrScenario.
+// event-vs-reference. The same valid events given as legacy
+// SessionConfig.Gates must lower onto the identical schedule, so that
+// cell must match the churn-trace one byte for byte. Rate scenarios have
+// no closed-loop meaning, so the same config with a diurnal spec must
+// reject with ErrScenario.
 func TestCrossCoreTraceScenario(t *testing.T) {
 	workload := TraceWorkloads()[0]
 	net := mustNet(t, "sf", 16)
+	events := []GateEvent{
+		{Cycle: 500, Node: 8, On: false},
+		{Cycle: 500, Node: 9, On: false},
+	}
 	base := SessionConfig{Seed: 5, Ops: 400, Sockets: 2, MaxCycles: 3_000_000,
-		Scenario: []ScenarioSpec{ChurnTrace(
-			GateEvent{Cycle: 500, Node: 8, On: false},
-			GateEvent{Cycle: 500, Node: 9, On: false})}}
-	applied := 0
-	coreDiff(t, "trace-churn", func(cfg SessionConfig) any {
-		var snaps []TelemetrySnapshot
-		cfg = cfg.WithTelemetry(512, func(s TelemetrySnapshot) {
-			snaps = append(snaps, s)
-			applied += len(s.Scenario)
-		})
-		res, err := net.NewSession(cfg).Run(TraceWorkload{Workload: workload})
-		if err != nil {
-			t.Fatal(err)
+		Scenario: []ScenarioSpec{ChurnTrace(events...)}}
+	gated := base
+	gated.Scenario, gated.Gates = nil, events
+	var outs [][]byte
+	for _, tc := range []struct {
+		label string
+		cfg   SessionConfig
+	}{{"trace-churn", base}, {"trace-gates", gated}} {
+		applied := 0
+		outs = append(outs, coreDiff(t, tc.label, func(cfg SessionConfig) any {
+			var snaps []TelemetrySnapshot
+			cfg = cfg.WithTelemetry(512, func(s TelemetrySnapshot) {
+				snaps = append(snaps, s)
+				applied += len(s.Scenario)
+			})
+			res, err := net.NewSession(cfg).Run(TraceWorkload{Workload: workload})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return sessionOutput{Result: res, Snaps: snaps}
+		}, tc.cfg))
+		if applied == 0 {
+			t.Errorf("%s: schedule applied no events", tc.label)
 		}
-		return sessionOutput{Result: res, Snaps: snaps}
-	}, base)
-	if applied == 0 {
-		t.Error("trace-churn: schedule applied no events")
+	}
+	if !bytes.Equal(outs[0], outs[1]) {
+		t.Errorf("Gates and ChurnTrace diverge on trace replay\nchurn: %s\ngates: %s",
+			clip(outs[0]), clip(outs[1]))
 	}
 
 	bad := base
