@@ -1,7 +1,6 @@
 package memsys
 
 import (
-	"context"
 	"fmt"
 
 	"repro/internal/energy"
@@ -164,18 +163,8 @@ func (s *System) Run(cycles int64) {
 // returned, or maxCycles elapsed; it returns the consumed cycles and
 // whether the run completed.
 func (s *System) RunToCompletion(maxCycles int64) (int64, bool, error) {
-	return s.RunToCompletionContext(context.Background(), maxCycles)
-}
-
-// RunToCompletionContext is RunToCompletion with cooperative cancellation:
-// ctx is checked between co-simulation slices, so long trace runs abort
-// promptly (returning ctx.Err()) when the caller cancels.
-func (s *System) RunToCompletionContext(ctx context.Context, maxCycles int64) (int64, bool, error) {
 	start := s.net.Cycle()
 	for s.net.Cycle()-start < maxCycles {
-		if err := ctx.Err(); err != nil {
-			return s.net.Cycle() - start, false, err
-		}
 		if s.allDone() {
 			return s.net.Cycle() - start, true, nil
 		}

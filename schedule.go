@@ -2,7 +2,9 @@ package stringfigure
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"math"
 	"sort"
 
 	"repro/internal/memsys"
@@ -11,28 +13,241 @@ import (
 	"repro/internal/traffic"
 )
 
-// This file executes compiled scenario schedules (and the legacy
-// SessionConfig.Gates path, which lowers onto the same machinery): the
-// gateRig shared by gate-scheduled synthetic and trace-driven runs, plus
-// the per-shape executors — runSyntheticScheduled (gates + rates),
-// runSyntheticRated (rate modulation only, any design),
-// runSyntheticRegen (the S2 rebuild baseline) and runTraceScheduled
-// (gates under closed-loop trace replay).
+// This file runs every session. runSchedule is the one run loop: it
+// advances a driver — the open-loop netsim run or the closed-loop memsys
+// replay — through a compiled scenario.Schedule, applying each event
+// between simulator slices at its cycle. A plain run is the empty
+// schedule, and the legacy SessionConfig.Gates list lowers into the same
+// schedule (schedule). Runs whose schedule gates nodes hold the network's
+// write lock and execute on a gateRig; every other run holds the read
+// lock over the network's live configuration. The S2 regeneration
+// baseline (runRegenS2) is two open-loop runs of the loop, one per
+// topology, stitched by mergeNetResults.
 
-// runToCycle advances the simulator to an absolute cycle with cooperative
-// cancellation, in simChunk slices.
-func runToCycle(ctx context.Context, sim *netsim.Sim, target int64) error {
-	for sim.Cycle() < target {
+// simChunk is how many cycles an open-loop run advances between
+// cancellation checks.
+const simChunk = 2048
+
+// traceSliceCycles is how many cycles a closed-loop replay advances
+// between completion, deadlock and cancellation checks.
+const traceSliceCycles = 32
+
+// schedule resolves a run's compiled schedule over `total` cycles:
+// Scenario specs compile against the network, and legacy Gates normalize
+// under the same Section VI epoch rules. No scenario yields the empty
+// schedule.
+func (n *Network) schedule(cfg SessionConfig, total int64) (scenario.Schedule, error) {
+	if len(cfg.Scenario) > 0 {
+		return n.compileScenario(cfg, total)
+	}
+	if len(cfg.Gates) == 0 {
+		return scenario.Schedule{}, nil
+	}
+	if n.net == nil {
+		return scenario.Schedule{}, fmt.Errorf("%w: gate schedule on %s", ErrNotReconfigurable, n.d.Name)
+	}
+	t := n.net.Timing
+	raw := make([]scenario.GateEvent, len(cfg.Gates))
+	for i, ev := range cfg.Gates {
+		raw[i] = scenario.GateEvent(ev)
+	}
+	return scenario.Schedule{Gates: scenario.Normalize(raw,
+		int64(t.LinkWakeNs/netsim.CycleNs), int64(t.MinIntervalNs/netsim.CycleNs), total)}, nil
+}
+
+// driver is the simulator the run loop advances.
+type driver interface {
+	// start builds the simulator over the configuration the loop
+	// assembled on n. mask holds the nodes alive through the whole run
+	// (nil: every node); alive reports a node's liveness at the current
+	// cycle.
+	start(ctx context.Context, n *Network, cfg SessionConfig, simCfg netsim.Config,
+		mask []bool, alive func(v int) bool) (*netsim.Sim, error)
+	// finished reports whether the run is over, or why it failed.
+	finished() (bool, error)
+	// advance runs one slice, stopping at cycle `to` at the latest.
+	advance(to int64) error
+}
+
+// openLoop drives one open-loop synthetic run: the pattern injects at a
+// fixed rate (rate events move it) until the simulator reaches end, and
+// the statistics reset once at warmup (0: never) to open the measured
+// window. Both cycles are on the simulator's own clock.
+type openLoop struct {
+	pat         traffic.Pattern
+	rate        float64
+	warmup, end int64
+	sim         *netsim.Sim
+}
+
+func (d *openLoop) start(_ context.Context, n *Network, cfg SessionConfig, simCfg netsim.Config,
+	_ []bool, alive func(v int) bool) (*netsim.Sim, error) {
+	simCfg.PacketFlits = cfg.PacketFlits
+	wireTelemetry(&simCfg, cfg, cfg.Rate, nil)
+	sim, err := netsim.New(simCfg)
+	if err != nil {
+		return nil, err
+	}
+	sim.SetPattern(d.rate, n.hostedPattern(d.pat, alive))
+	d.sim = sim
+	return sim, nil
+}
+
+func (d *openLoop) finished() (bool, error) { return d.sim.Cycle() >= d.end, nil }
+
+func (d *openLoop) advance(to int64) error {
+	now := d.sim.Cycle()
+	to = min(to, d.end, now+simChunk)
+	if now < d.warmup {
+		to = min(to, d.warmup)
+	}
+	d.sim.Run(to - now)
+	if d.sim.Cycle() == d.warmup {
+		d.sim.ResetStats()
+	}
+	return nil
+}
+
+// closedLoop drives one closed-loop trace replay (the Figure 12
+// pipeline): per-socket Table IV traces replay against DRAM-timed memory
+// nodes until every read returns, within maxCycles.
+type closedLoop struct {
+	workload  string
+	maxCycles int64
+	sys       *memsys.System
+}
+
+func (d *closedLoop) start(ctx context.Context, n *Network, cfg SessionConfig, simCfg netsim.Config,
+	mask []bool, _ func(v int) bool) (*netsim.Sim, error) {
+	parts, err := n.buildTraceParts(ctx, cfg, d.workload, mask)
+	if err != nil {
+		return nil, err
+	}
+	// The snapshot hook reaches through to the co-simulation for the
+	// memory-side occupancy; d.sys is assigned before any cycle runs, and
+	// callbacks fire on the simulating goroutine.
+	wireTelemetry(&simCfg, cfg, 0, func() int {
+		if d.sys == nil {
+			return 0
+		}
+		return d.sys.OutstandingReads()
+	})
+	d.sys, err = memsys.Build(simCfg, parts.pool, parts.cpuNodes, cfg.Window, parts.traces)
+	if err != nil {
+		return nil, err
+	}
+	d.sys.Ports = n.d.Ports
+	return d.sys.Sim(), nil
+}
+
+func (d *closedLoop) finished() (bool, error) {
+	if d.sys.Done() {
+		return true, nil
+	}
+	if now := d.sys.Sim().Cycle(); now >= d.maxCycles {
+		return false, fmt.Errorf("stringfigure: %s trace run did not finish in %d cycles", d.workload, now)
+	}
+	return false, nil
+}
+
+func (d *closedLoop) advance(to int64) error {
+	d.sys.Run(min(to-d.sys.Sim().Cycle(), traceSliceCycles))
+	if d.sys.NetResults().Deadlocked {
+		return errors.New("memsys: network deadlocked")
+	}
+	return nil
+}
+
+// runSchedule is the session run loop: it advances d through sch on this
+// network until the driver finishes. The simulator's clock starts at
+// absolute run cycle `from` (0 except for the second half of an S2
+// regeneration); rec stamps the applied events onto the telemetry
+// stream. A schedule with gate events runs exclusively, under the write
+// lock, on a gateRig over the union of every phase's links, and restores
+// the starting alive mask on exit; anything else runs under the read lock
+// on the network's live configuration.
+func (n *Network) runSchedule(ctx context.Context, cfg SessionConfig, d driver,
+	sch scenario.Schedule, from int64, rec *scenarioRecorder) error {
+	var rig *gateRig
+	if len(sch.Gates) > 0 {
+		if n.net == nil {
+			return fmt.Errorf("%w: gate schedule on %s", ErrNotReconfigurable, n.d.Name)
+		}
+		n.mu.Lock()
+		defer n.mu.Unlock()
+		var err error
+		if rig, err = n.newGateRig(sch.Gates, rec); err != nil {
+			return err
+		}
+	} else {
+		n.mu.RLock()
+		defer n.mu.RUnlock()
+	}
+
+	simCfg := n.snapshotCfg(cfg)
+	var mask []bool
+	if n.net != nil {
+		mask = n.net.AliveSlice()
+	}
+	alive := func(v int) bool { return mask == nil || mask[v] }
+	if rig != nil {
+		// Every wire any phase activates exists from cycle 0; injection
+		// follows the live mask as events apply, while pages and sockets
+		// stay on the nodes powered through every phase.
+		simCfg.Out = rig.out
+		simCfg.EscapeRoute = rig.escapeFor(rig.start)
+		mask = rig.everAlive()
+		alive = func(v int) bool { return rig.aliveNow[v] }
+	}
+	sim, err := d.start(ctx, n, rec.wrap(cfg, from), simCfg, mask, alive)
+	if err != nil {
+		return err
+	}
+	if rig != nil {
+		rig.attach(sim)
+		defer rig.restore()
+	}
+
+	// Events in simulator cycles; gates apply before rate changes at the
+	// same cycle.
+	type action struct {
+		cycle int64
+		apply func() error
+	}
+	var acts []action
+	for i, ev := range sch.Gates {
+		acts = append(acts, action{ev.Cycle - from, func() error { return rig.apply(i) }})
+	}
+	for _, ev := range sch.Rates {
+		acts = append(acts, action{ev.Cycle - from, func() error {
+			rate := cfg.Rate * ev.Scale
+			sim.SetRate(rate)
+			rec.add(ScenarioEvent{Cycle: ev.Cycle, Kind: scenarioEvRate, Rate: rate})
+			return nil
+		}})
+	}
+	sort.SliceStable(acts, func(i, j int) bool { return acts[i].cycle < acts[j].cycle })
+
+	for i := 0; ; {
+		for ; i < len(acts) && acts[i].cycle <= sim.Cycle(); i++ {
+			if err := acts[i].apply(); err != nil {
+				return err
+			}
+		}
+		if done, err := d.finished(); done || err != nil {
+			return err
+		}
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		step := target - sim.Cycle()
-		if step > simChunk {
-			step = simChunk
+		to := int64(math.MaxInt64)
+		if i < len(acts) {
+			to = acts[i].cycle
 		}
-		sim.Run(step)
+		if err := d.advance(to); err != nil {
+			return err
+		}
 	}
-	return nil
 }
 
 // gateRig is the shared execution machinery of gate-scheduled runs: the
@@ -235,168 +450,15 @@ func (r *gateRig) restore() {
 	}
 }
 
-// runSyntheticGated is runSynthetic for the legacy SessionConfig.Gates
-// path: the raw events normalize under the Section VI epoch rules
-// (scenario.Normalize — the same rules compiled scenarios already
-// satisfy) and execute on the scheduled engine.
-func (n *Network) runSyntheticGated(ctx context.Context, cfg SessionConfig, pat traffic.Pattern) (Result, error) {
-	if n.net == nil {
-		return Result{}, fmt.Errorf("%w: gate schedule on %s", ErrNotReconfigurable, n.d.Name)
-	}
-	total := cfg.Warmup + cfg.Measure
-	t := n.net.Timing
-	raw := make([]scenario.GateEvent, len(cfg.Gates))
-	for i, ev := range cfg.Gates {
-		raw[i] = scenario.GateEvent(ev)
-	}
-	events := scenario.Normalize(raw,
-		int64(t.LinkWakeNs/netsim.CycleNs), int64(t.MinIntervalNs/netsim.CycleNs), total)
-	return n.runSyntheticScheduled(ctx, cfg, pat, events, nil)
-}
-
-// runSyntheticScheduled drives one open-loop synthetic run under a
-// compiled schedule: the run takes the network's write lock
-// (reconfiguration is part of the run, so it is exclusive), builds the
-// simulator over the union of the physical wires every phase activates,
-// and applies each gate event to the live routing tables — and each rate
-// event to the injection process — at its cycle. Packets already in
-// flight route around a reconfiguration (or divert to the escape
-// subnetwork, or drop as unroutable), which is exactly the transient the
-// telemetry stream watches.
-func (n *Network) runSyntheticScheduled(ctx context.Context, cfg SessionConfig, pat traffic.Pattern,
-	gates []scenario.GateEvent, rates []scenario.RateEvent) (Result, error) {
-	if n.net == nil {
-		return Result{}, fmt.Errorf("%w: gate schedule on %s", ErrNotReconfigurable, n.d.Name)
-	}
-	total := cfg.Warmup + cfg.Measure
-
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	rec := &scenarioRecorder{}
-	rig, err := n.newGateRig(gates, rec)
-	if err != nil {
-		return Result{}, err
-	}
-
-	simCfg := netsim.SFConfig(n.d.SF, cfg.Seed)
-	simCfg.Out = rig.out
-	simCfg.Alg = n.net.Router
-	simCfg.VCPolicy = n.net.Router.VirtualChannel
-	simCfg.EscapeRoute = rig.escapeFor(rig.start)
-	if cfg.AdaptiveThreshold > 0 {
-		simCfg.AdaptiveThreshold = cfg.AdaptiveThreshold
-	}
-	simCfg.ReferenceCore = cfg.ReferenceCore
-	simCfg.PacketFlits = cfg.PacketFlits
-	wireTelemetry(&simCfg, rec.wrap(cfg, 0), cfg.Rate, nil)
-	sim, err := netsim.New(simCfg)
-	if err != nil {
-		return Result{}, err
-	}
-
-	// Injection liveness follows the schedule: gated nodes neither source
-	// nor sink new traffic from the moment their event applies (aliveNow
-	// is swapped by apply, so the lookup is dynamic).
-	sim.SetPattern(cfg.Rate, n.hostedPattern(pat, func(v int) bool { return rig.aliveNow[v] }))
-	rig.attach(sim)
-	defer rig.restore()
-
-	gi, ri := 0, 0
-	phase := func(limit int64) error {
-		for {
-			next := int64(-1)
-			if gi < len(gates) && gates[gi].Cycle < limit {
-				next = gates[gi].Cycle
-			}
-			if ri < len(rates) && rates[ri].Cycle < limit && (next < 0 || rates[ri].Cycle < next) {
-				next = rates[ri].Cycle
-			}
-			if next < 0 {
-				return runToCycle(ctx, sim, limit)
-			}
-			if err := runToCycle(ctx, sim, next); err != nil {
-				return err
-			}
-			for gi < len(gates) && gates[gi].Cycle == next {
-				if err := rig.apply(gi); err != nil {
-					return err
-				}
-				gi++
-			}
-			for ri < len(rates) && rates[ri].Cycle == next {
-				rate := cfg.Rate * rates[ri].Scale
-				sim.SetRate(rate)
-				rec.add(ScenarioEvent{Cycle: next, Kind: scenarioEvRate, Rate: rate})
-				ri++
-			}
-		}
-	}
-	if err := phase(cfg.Warmup); err != nil {
-		return Result{}, err
-	}
-	sim.ResetStats()
-	if err := phase(total); err != nil {
-		return Result{}, err
-	}
-	return n.syntheticResult(sim.Results(), cfg.Rate), nil
-}
-
-// runSyntheticRated drives one open-loop synthetic run whose schedule
-// only modulates the injection rate (diurnal/bursty scenarios): no
-// reconfiguration happens, so the run works on every design and takes
-// only the read lock, like a plain synthetic run.
-func (n *Network) runSyntheticRated(ctx context.Context, cfg SessionConfig, pat traffic.Pattern,
-	rates []scenario.RateEvent) (Result, error) {
-	total := cfg.Warmup + cfg.Measure
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	rec := &scenarioRecorder{}
-	simCfg := n.snapshotCfg(cfg)
-	simCfg.PacketFlits = cfg.PacketFlits
-	wireTelemetry(&simCfg, rec.wrap(cfg, 0), cfg.Rate, nil)
-	sim, err := netsim.New(simCfg)
-	if err != nil {
-		return Result{}, err
-	}
-	var alive []bool
-	if n.net != nil {
-		alive = n.net.AliveSlice()
-	}
-	sim.SetPattern(cfg.Rate, n.hostedPattern(pat, func(v int) bool {
-		return alive == nil || alive[v]
-	}))
-	ri := 0
-	phase := func(limit int64) error {
-		for ri < len(rates) && rates[ri].Cycle < limit {
-			if err := runToCycle(ctx, sim, rates[ri].Cycle); err != nil {
-				return err
-			}
-			rate := cfg.Rate * rates[ri].Scale
-			sim.SetRate(rate)
-			rec.add(ScenarioEvent{Cycle: rates[ri].Cycle, Kind: scenarioEvRate, Rate: rate})
-			ri++
-		}
-		return runToCycle(ctx, sim, limit)
-	}
-	if err := phase(cfg.Warmup); err != nil {
-		return Result{}, err
-	}
-	sim.ResetStats()
-	if err := phase(total); err != nil {
-		return Result{}, err
-	}
-	return n.syntheticResult(sim.Results(), cfg.Rate), nil
-}
-
-// runSyntheticRegen executes the ScenarioRegenS2 baseline: phase A runs
-// the full-scale S2 topology to the regeneration cycle; the topology is
-// then regenerated at Drop fewer nodes (a fresh seeded build — S2 cannot
-// gate nodes, so down-scaling means rebuilding), and phase B runs the
-// remainder on the new network with injection silenced through the
-// rebuild outage. The measured window stitches both phases together, so
-// the regeneration's outage and warm-cache loss land in the same metrics
-// a String Figure storm is measured by.
-func (n *Network) runSyntheticRegen(ctx context.Context, cfg SessionConfig, patName string,
+// runRegenS2 executes the ScenarioRegenS2 baseline: the full-scale S2
+// topology runs to the regeneration cycle; the topology is then
+// regenerated at Drop fewer nodes (a fresh seeded build — S2 cannot gate
+// nodes, so down-scaling means rebuilding), and the remainder runs on the
+// new network with injection silenced through the rebuild outage. The
+// measured window stitches both halves together, so the regeneration's
+// outage and warm-cache loss land in the same metrics a String Figure
+// storm is measured by.
+func (n *Network) runRegenS2(ctx context.Context, cfg SessionConfig, patName string,
 	pat traffic.Pattern, rg *scenario.Regen) (Result, error) {
 	if n.d.Name != "s2" {
 		return Result{}, fmt.Errorf("%w: regen-s2 on design %q (the regeneration baseline rebuilds an s2 topology; reconfigurable designs gate nodes in place instead)",
@@ -407,34 +469,19 @@ func (n *Network) runSyntheticRegen(ctx context.Context, cfg SessionConfig, patN
 	}
 	total := cfg.Warmup + cfg.Measure
 	R := rg.Cycle
-	// Phase A is measured only when the regeneration lands after warm-up;
-	// an earlier regeneration leaves the whole measured window to phase B.
+	// The first half is measured only when the regeneration lands after
+	// warm-up; an earlier one leaves the whole measured window to the
+	// second half, which then opens it at warm-up on its own clock.
 	measuredA := R > cfg.Warmup
 	rec := &scenarioRecorder{}
-
-	resA, err := func() (netsim.Results, error) {
-		n.mu.RLock()
-		defer n.mu.RUnlock()
-		simCfg := n.snapshotCfg(cfg)
-		simCfg.PacketFlits = cfg.PacketFlits
-		wireTelemetry(&simCfg, rec.wrap(cfg, 0), cfg.Rate, nil)
-		sim, err := netsim.New(simCfg)
-		if err != nil {
-			return netsim.Results{}, err
-		}
-		sim.SetPattern(cfg.Rate, n.hostedPattern(pat, func(int) bool { return true }))
-		if measuredA {
-			if err := runToCycle(ctx, sim, cfg.Warmup); err != nil {
-				return netsim.Results{}, err
-			}
-			sim.ResetStats()
-		}
-		if err := runToCycle(ctx, sim, R); err != nil {
-			return netsim.Results{}, err
-		}
-		return sim.Results(), nil
-	}()
-	if err != nil {
+	a := &openLoop{pat: pat, rate: cfg.Rate, end: R}
+	b := &openLoop{rate: 0, end: total - R}
+	if measuredA {
+		a.warmup = cfg.Warmup
+	} else {
+		b.warmup = cfg.Warmup - R
+	}
+	if err := n.runSchedule(ctx, cfg, a, scenario.Schedule{}, 0, rec); err != nil {
 		return Result{}, err
 	}
 
@@ -448,64 +495,21 @@ func (n *Network) runSyntheticRegen(ctx context.Context, cfg SessionConfig, patN
 	if err != nil {
 		return Result{}, fmt.Errorf("%w: regenerating s2 at %d nodes: %v", ErrScenario, sp.Nodes, err)
 	}
-	patB, err := traffic.NewPattern(patName, n2.Nodes())
-	if err != nil {
+	if b.pat, err = traffic.NewPattern(patName, n2.Nodes()); err != nil {
 		return Result{}, fmt.Errorf("%w: %v", ErrUnknownPattern, err)
 	}
 	rec.add(ScenarioEvent{Cycle: R, Kind: scenarioEvRegen, Node: n2.Nodes()})
-
-	bTotal := total - R
-	outEnd := rg.Outage
-	if outEnd > bTotal {
-		outEnd = bTotal
+	var schB scenario.Schedule
+	if R+rg.Outage < total {
+		schB.Rates = []scenario.RateEvent{{Cycle: R + rg.Outage, Scale: 1}}
 	}
-	resB, err := func() (netsim.Results, error) {
-		n2.mu.RLock()
-		defer n2.mu.RUnlock()
-		simCfg := n2.snapshotCfg(cfg)
-		simCfg.PacketFlits = cfg.PacketFlits
-		// Phase B's simulator clock restarts at zero; the recorder offset
-		// restores absolute run cycles on its snapshots.
-		wireTelemetry(&simCfg, rec.wrap(cfg, R), cfg.Rate, nil)
-		sim, err := netsim.New(simCfg)
-		if err != nil {
-			return netsim.Results{}, err
-		}
-		// Injection stays silenced through the rebuild outage.
-		sim.SetPattern(0, n2.hostedPattern(patB, func(int) bool { return true }))
-		type act struct {
-			cycle int64
-			f     func()
-		}
-		var acts []act
-		if !measuredA && cfg.Warmup-R > 0 {
-			acts = append(acts, act{cfg.Warmup - R, sim.ResetStats})
-		}
-		if outEnd < bTotal {
-			acts = append(acts, act{outEnd, func() {
-				sim.SetRate(cfg.Rate)
-				rec.add(ScenarioEvent{Cycle: R + outEnd, Kind: scenarioEvRate, Rate: cfg.Rate})
-			}})
-		}
-		sort.SliceStable(acts, func(i, j int) bool { return acts[i].cycle < acts[j].cycle })
-		for _, a := range acts {
-			if err := runToCycle(ctx, sim, a.cycle); err != nil {
-				return netsim.Results{}, err
-			}
-			a.f()
-		}
-		if err := runToCycle(ctx, sim, bTotal); err != nil {
-			return netsim.Results{}, err
-		}
-		return sim.Results(), nil
-	}()
-	if err != nil {
+	if err := n2.runSchedule(ctx, cfg, b, schB, R, rec); err != nil {
 		return Result{}, err
 	}
 
-	res := resB
+	res := b.sim.Results()
 	if measuredA {
-		res = mergeNetResults(resA, resB)
+		res = mergeNetResults(a.sim.Results(), res)
 	}
 	return n.syntheticResult(res, cfg.Rate), nil
 }
@@ -533,124 +537,4 @@ func mergeNetResults(a, b netsim.Results) netsim.Results {
 	}
 	m.Deadlocked = m.Deadlocked || b.Deadlocked
 	return m
-}
-
-// traceSliceCycles is the co-simulation slice between event checks on
-// scheduled trace runs, matching the memsys completion-poll granularity.
-const traceSliceCycles = 32
-
-// traceSchedule resolves a closed-loop trace run's gate schedule from
-// Scenario or the legacy Gates list (already normalized under the epoch
-// rules). Rate modulation and regeneration have no closed-loop meaning —
-// offered load emerges from the replay — so those specs reject with
-// ErrScenario.
-func (n *Network) traceSchedule(cfg SessionConfig) ([]scenario.GateEvent, error) {
-	if len(cfg.Scenario) > 0 {
-		sch, err := n.compileScenario(cfg, cfg.MaxCycles)
-		if err != nil {
-			return nil, err
-		}
-		if len(sch.Rates) > 0 || sch.Regen != nil {
-			return nil, fmt.Errorf("%w: rate modulation and regeneration need an open-loop synthetic workload (trace replay is closed-loop)", ErrScenario)
-		}
-		return sch.Gates, nil
-	}
-	if len(cfg.Gates) == 0 {
-		return nil, nil
-	}
-	if n.net == nil {
-		return nil, fmt.Errorf("%w: gate schedule on %s", ErrNotReconfigurable, n.d.Name)
-	}
-	t := n.net.Timing
-	raw := make([]scenario.GateEvent, len(cfg.Gates))
-	for i, ev := range cfg.Gates {
-		raw[i] = scenario.GateEvent(ev)
-	}
-	return scenario.Normalize(raw,
-		int64(t.LinkWakeNs/netsim.CycleNs), int64(t.MinIntervalNs/netsim.CycleNs), cfg.MaxCycles), nil
-}
-
-// runTraceScheduled drives one closed-loop trace run under a gate
-// schedule: memory pages and CPU sockets live on the nodes that stay
-// powered through every phase (gating never strands a socket or a page),
-// the network simulates over the union link set, and gate events apply
-// between co-simulation slices at their scheduled cycles — crossing
-// traffic reroutes around the gated region while the replay keeps
-// running, which is the closed-loop transient the scenario suite
-// measures. Like all scheduled runs it is exclusive (write lock) and
-// restores the starting mask on exit.
-func (n *Network) runTraceScheduled(ctx context.Context, cfg SessionConfig, workload string,
-	events []scenario.GateEvent) (Result, error) {
-	if n.net == nil {
-		return Result{}, fmt.Errorf("%w: gate schedule on %s", ErrNotReconfigurable, n.d.Name)
-	}
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	rec := &scenarioRecorder{}
-	rig, err := n.newGateRig(events, rec)
-	if err != nil {
-		return Result{}, err
-	}
-	parts, err := n.buildTraceParts(ctx, cfg, workload, rig.everAlive())
-	if err != nil {
-		return Result{}, err
-	}
-
-	netCfg := netsim.SFConfig(n.d.SF, cfg.Seed)
-	netCfg.Out = rig.out
-	netCfg.Alg = n.net.Router
-	netCfg.VCPolicy = n.net.Router.VirtualChannel
-	netCfg.EscapeRoute = rig.escapeFor(rig.start)
-	if cfg.AdaptiveThreshold > 0 {
-		netCfg.AdaptiveThreshold = cfg.AdaptiveThreshold
-	}
-	netCfg.ReferenceCore = cfg.ReferenceCore
-	var sys *memsys.System
-	wireTelemetry(&netCfg, rec.wrap(cfg, 0), 0, func() int {
-		if sys == nil {
-			return 0
-		}
-		return sys.OutstandingReads()
-	})
-	sys, err = memsys.Build(netCfg, parts.pool, parts.cpuNodes, cfg.Window, parts.traces)
-	if err != nil {
-		return Result{}, err
-	}
-	sys.Ports = n.d.Ports
-	sim := sys.Sim()
-	rig.attach(sim)
-	defer rig.restore()
-
-	pos := 0
-	for !sys.Done() {
-		if err := ctx.Err(); err != nil {
-			return Result{}, err
-		}
-		now := sim.Cycle()
-		if now >= cfg.MaxCycles {
-			return Result{}, fmt.Errorf("stringfigure: %s trace run did not finish in %d cycles",
-				workload, now)
-		}
-		target := cfg.MaxCycles
-		if pos < len(events) && events[pos].Cycle < target {
-			target = events[pos].Cycle
-		}
-		if target > now {
-			step := target - now
-			if step > traceSliceCycles {
-				step = traceSliceCycles
-			}
-			sys.Run(step)
-			if sys.NetResults().Deadlocked {
-				return Result{}, fmt.Errorf("memsys: network deadlocked")
-			}
-		}
-		for pos < len(events) && events[pos].Cycle <= sim.Cycle() {
-			if err := rig.apply(pos); err != nil {
-				return Result{}, err
-			}
-			pos++
-		}
-	}
-	return traceResult(sys), nil
 }

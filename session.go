@@ -247,76 +247,25 @@ func (n *Network) snapshotCfg(cfg SessionConfig) netsim.Config {
 	return sc
 }
 
-// simChunk is how many cycles run between cancellation checks.
-const simChunk = 2048
-
-// runChunked advances the simulator with cooperative cancellation.
-func runChunked(ctx context.Context, sim *netsim.Sim, cycles int64) error {
-	for done := int64(0); done < cycles; {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		step := cycles - done
-		if step > simChunk {
-			step = simChunk
-		}
-		sim.Run(step)
-		done += step
-	}
-	return nil
-}
-
-// runSynthetic drives one open-loop synthetic-traffic simulation. The
-// pattern draws memory-node destinations; concentration maps them to
-// routers: each injecting router picks uniformly among its hosted alive
-// nodes as the source, so concentrated FB/AFB routers represent all their
-// nodes' traffic. patName is the pattern's rebuildable name ("" for
-// function workloads, which the S2 regeneration scenario rejects —
-// regenerating swaps the node count the traffic draws over).
-func (n *Network) runSynthetic(ctx context.Context, cfg SessionConfig, patName string, pat traffic.Pattern) (Result, error) {
-	if len(cfg.Scenario) > 0 {
-		sch, err := n.compileScenario(cfg, cfg.Warmup+cfg.Measure)
-		if err != nil {
-			return Result{}, err
-		}
-		switch {
-		case sch.Regen != nil:
-			return n.runSyntheticRegen(ctx, cfg, patName, pat, sch.Regen)
-		case len(sch.Gates) > 0:
-			return n.runSyntheticScheduled(ctx, cfg, pat, sch.Gates, sch.Rates)
-		case len(sch.Rates) > 0:
-			return n.runSyntheticRated(ctx, cfg, pat, sch.Rates)
-		}
-		// An empty schedule (every event normalized away) runs plain.
-	} else if len(cfg.Gates) > 0 {
-		return n.runSyntheticGated(ctx, cfg, pat)
-	}
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	simCfg := n.snapshotCfg(cfg)
-	simCfg.PacketFlits = cfg.PacketFlits
-	wireTelemetry(&simCfg, cfg, cfg.Rate, nil)
-	sim, err := netsim.New(simCfg)
+// runOpenLoop runs one open-loop synthetic workload. The pattern draws
+// memory-node destinations; hostedPattern maps them to routers. patName
+// is the pattern's rebuildable name ("" for function workloads, which the
+// S2 regeneration scenario rejects — regenerating swaps the node count
+// the traffic draws over).
+func (n *Network) runOpenLoop(ctx context.Context, cfg SessionConfig, patName string, pat traffic.Pattern) (Result, error) {
+	total := cfg.Warmup + cfg.Measure
+	sch, err := n.schedule(cfg, total)
 	if err != nil {
 		return Result{}, err
 	}
-	// Node liveness snapshot (all alive on designs without reconfiguration;
-	// routers and nodes coincide whenever net != nil).
-	var alive []bool
-	if n.net != nil {
-		alive = n.net.AliveSlice()
+	if sch.Regen != nil {
+		return n.runRegenS2(ctx, cfg, patName, pat, sch.Regen)
 	}
-	sim.SetPattern(cfg.Rate, n.hostedPattern(pat, func(v int) bool {
-		return alive == nil || alive[v]
-	}))
-	if err := runChunked(ctx, sim, cfg.Warmup); err != nil {
+	d := &openLoop{pat: pat, rate: cfg.Rate, warmup: cfg.Warmup, end: total}
+	if err := n.runSchedule(ctx, cfg, d, sch, 0, &scenarioRecorder{}); err != nil {
 		return Result{}, err
 	}
-	sim.ResetStats()
-	if err := runChunked(ctx, sim, cfg.Measure); err != nil {
-		return Result{}, err
-	}
-	return n.syntheticResult(sim.Results(), cfg.Rate), nil
+	return n.syntheticResult(d.sim.Results(), cfg.Rate), nil
 }
 
 // hostedPattern adapts a memory-node traffic pattern to router-level
@@ -355,8 +304,7 @@ func (n *Network) hostedPattern(pat traffic.Pattern, nodeAlive func(v int) bool)
 }
 
 // syntheticResult assembles the unified Result of one open-loop measured
-// window (shared by plain and gate-scheduled synthetic runs, which the
-// telemetry determinism tests compare field for field).
+// window.
 func (n *Network) syntheticResult(res netsim.Results, rate float64) Result {
 	var em energy.Model
 	em.AddFlitHopsRadix(res.FlitHops, n.d.Ports)
@@ -378,55 +326,28 @@ func (n *Network) syntheticResult(res netsim.Results, rate float64) Result {
 	}
 }
 
-// runTrace drives one closed-loop trace-driven co-simulation (the Figure 12
-// pipeline): synthesize per-socket Table IV traces through the paper's
-// cache hierarchy, replay them against DRAM-timed memory nodes over the
-// active network, and report IPC, read latency and the energy split.
-// Memory pages live on alive nodes (gating migrates them), and requests
-// travel at router granularity so the concentrated designs work unchanged.
-func (n *Network) runTrace(ctx context.Context, cfg SessionConfig, workload string) (Result, error) {
-	events, err := n.traceSchedule(cfg)
+// runClosedLoop runs one closed-loop trace-driven co-simulation (the
+// Figure 12 pipeline): synthesize per-socket Table IV traces through the
+// paper's cache hierarchy, replay them against DRAM-timed memory nodes
+// over the active network, and report IPC, read latency and the energy
+// split. Memory pages live on alive nodes (gating migrates them), and
+// requests travel at router granularity so the concentrated designs work
+// unchanged. Rate modulation and regeneration have no closed-loop meaning
+// — offered load emerges from the replay — so those scenarios reject with
+// ErrScenario.
+func (n *Network) runClosedLoop(ctx context.Context, cfg SessionConfig, workload string) (Result, error) {
+	sch, err := n.schedule(cfg, cfg.MaxCycles)
 	if err != nil {
 		return Result{}, err
 	}
-	if len(events) > 0 {
-		return n.runTraceScheduled(ctx, cfg, workload, events)
+	if len(sch.Rates) > 0 || sch.Regen != nil {
+		return Result{}, fmt.Errorf("%w: rate modulation and regeneration need an open-loop synthetic workload (trace replay is closed-loop)", ErrScenario)
 	}
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	var alive []bool
-	if n.net != nil {
-		alive = n.net.AliveSlice()
-	}
-	parts, err := n.buildTraceParts(ctx, cfg, workload, alive)
-	if err != nil {
+	d := &closedLoop{workload: workload, maxCycles: cfg.MaxCycles}
+	if err := n.runSchedule(ctx, cfg, d, sch, 0, &scenarioRecorder{}); err != nil {
 		return Result{}, err
 	}
-	netCfg := n.snapshotCfg(cfg)
-	// The snapshot hook reaches through to the co-simulation for the
-	// memory-side occupancy; sys is assigned before any cycle runs, and
-	// callbacks fire on the simulating goroutine.
-	var sys *memsys.System
-	wireTelemetry(&netCfg, cfg, 0, func() int {
-		if sys == nil {
-			return 0
-		}
-		return sys.OutstandingReads()
-	})
-	sys, err = memsys.Build(netCfg, parts.pool, parts.cpuNodes, cfg.Window, parts.traces)
-	if err != nil {
-		return Result{}, err
-	}
-	sys.Ports = n.d.Ports
-	cycles, done, err := sys.RunToCompletionContext(ctx, cfg.MaxCycles)
-	if err != nil {
-		return Result{}, err
-	}
-	if !done {
-		return Result{}, fmt.Errorf("stringfigure: %s trace run did not finish in %d cycles",
-			workload, cycles)
-	}
-	return traceResult(sys), nil
+	return traceResult(d.sys), nil
 }
 
 // traceParts is the precomputed input of one closed-loop co-simulation:
@@ -503,7 +424,7 @@ func (n *Network) buildTraceParts(ctx context.Context, cfg SessionConfig, worklo
 }
 
 // traceResult assembles the unified Result of one completed closed-loop
-// co-simulation (shared by the plain and gate-scheduled trace paths).
+// co-simulation.
 func traceResult(sys *memsys.System) Result {
 	mres := sys.Results()
 	netRes := sys.NetResults()

@@ -37,7 +37,7 @@ func (w SyntheticWorkload) run(ctx context.Context, s *Session) (Result, error) 
 	if err != nil {
 		return Result{}, fmt.Errorf("%w: %v", ErrUnknownPattern, err)
 	}
-	return s.net.runSynthetic(ctx, s.cfg, w.Pattern, pat)
+	return s.net.runOpenLoop(ctx, s.cfg, w.Pattern, pat)
 }
 
 // runRaw runs the pattern with a verbatim (unfilled) configuration — the
@@ -48,7 +48,7 @@ func (w SyntheticWorkload) runRaw(n *Network, cfg SessionConfig) (Result, error)
 	if err != nil {
 		return Result{}, fmt.Errorf("%w: %v", ErrUnknownPattern, err)
 	}
-	return n.runSynthetic(context.Background(), cfg, w.Pattern, pat)
+	return n.runOpenLoop(context.Background(), cfg, w.Pattern, pat)
 }
 
 // Patterns lists the supported SyntheticWorkload pattern names in Table III
@@ -78,7 +78,7 @@ func (w FuncWorkload) run(ctx context.Context, s *Session) (Result, error) {
 	if w.Dest == nil {
 		return Result{}, fmt.Errorf("stringfigure: FuncWorkload.Dest required")
 	}
-	return s.net.runSynthetic(ctx, s.cfg, "", traffic.Pattern(w.Dest))
+	return s.net.runOpenLoop(ctx, s.cfg, "", traffic.Pattern(w.Dest))
 }
 
 // TraceWorkload replays one of the Table IV real workloads ("wordcount",
@@ -95,7 +95,7 @@ type TraceWorkload struct {
 func (w TraceWorkload) Name() string { return w.Workload }
 
 func (w TraceWorkload) run(ctx context.Context, s *Session) (Result, error) {
-	return s.net.runTrace(ctx, s.cfg, w.Workload)
+	return s.net.runClosedLoop(ctx, s.cfg, w.Workload)
 }
 
 // TraceWorkloads lists the supported TraceWorkload names in Table IV order.
