@@ -269,9 +269,10 @@ func BenchmarkSimulatorCycles(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	sess := net.NewSession(SessionConfig{Rate: 0.2, Warmup: 200, Measure: 800, Seed: 2})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := net.SimulateUniform(0.2, 200, 800)
+		res, err := sess.Run(SyntheticWorkload{Pattern: "uniform"})
 		if err != nil {
 			b.Fatal(err)
 		}

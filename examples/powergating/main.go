@@ -15,7 +15,7 @@ import (
 
 func main() {
 	const n = 128
-	net, err := stringfigure.NewFromOptions(stringfigure.Options{Nodes: n, Seed: 7})
+	net, err := stringfigure.New(stringfigure.WithNodes(n), stringfigure.WithSeed(7))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -62,7 +62,8 @@ func main() {
 	fmt.Printf("verified %d routes on the gated network\n", checked)
 
 	// Traffic still flows on the reduced network.
-	res, err := net.SimulateUniform(0.05, 800, 2500)
+	sess := net.NewSession(stringfigure.SessionConfig{Rate: 0.05, Warmup: 800, Measure: 2500, Seed: 8})
+	res, err := sess.Run(stringfigure.SyntheticWorkload{Pattern: "uniform"})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -364,29 +364,6 @@ func TestResetStatsKeepsNetworkState(t *testing.T) {
 	}
 }
 
-func TestFindSaturation(t *testing.T) {
-	sf, err := topology.NewStringFigure(topology.Config{N: 32, Ports: 4, Seed: 2, Shortcuts: true, Bidirectional: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pat, _ := traffic.NewPattern("uniform", 32)
-	sat, err := FindSaturation(SaturationConfig{Step: 0.1, Warmup: 500, Measure: 1500},
-		func(rate float64) (*Sim, error) {
-			s, err := New(SFConfig(sf, 3))
-			if err != nil {
-				return nil, err
-			}
-			s.SetPattern(rate, pat)
-			return s, nil
-		})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sat <= 0 || sat > 1 {
-		t.Errorf("saturation = %v, want in (0,1]", sat)
-	}
-}
-
 func TestRingEscapeFollowsActiveRing(t *testing.T) {
 	sf, err := topology.NewStringFigure(topology.Config{N: 20, Ports: 4, Seed: 8, Shortcuts: true, Bidirectional: true})
 	if err != nil {

@@ -63,78 +63,3 @@ func (s *Sim) RunMeasured(warmup, measure int64) Results {
 	s.Run(measure)
 	return s.Results()
 }
-
-// SaturationConfig controls the injection-rate sweep used to locate a
-// topology's saturation point (Figure 10's metric).
-type SaturationConfig struct {
-	// Step is the injection-rate granularity of the sweep (default 0.05).
-	Step float64
-	// Warmup and Measure are per-point cycle budgets.
-	Warmup, Measure int64
-	// LatencyCapCycles declares saturation when mean latency exceeds it
-	// (default 400 cycles).
-	LatencyCapCycles float64
-	// MinDelivered declares saturation when the delivered fraction of the
-	// measured window drops below it (default 0.75).
-	MinDelivered float64
-}
-
-func (c *SaturationConfig) fill() {
-	if c.Step <= 0 {
-		c.Step = 0.05
-	}
-	if c.Warmup <= 0 {
-		c.Warmup = 1500
-	}
-	if c.Measure <= 0 {
-		c.Measure = 4000
-	}
-	if c.LatencyCapCycles <= 0 {
-		c.LatencyCapCycles = 400
-	}
-	if c.MinDelivered <= 0 {
-		c.MinDelivered = 0.75
-	}
-}
-
-// FindSaturation sweeps injection rates from Step upward and returns the
-// highest rate (fraction of cycles each node injects a packet) that the
-// network sustains: mean latency under the cap and deliveries tracking
-// injections. factory must return a fresh simulator with the pattern
-// installed at the given rate.
-func FindSaturation(cfg SaturationConfig, factory func(rate float64) (*Sim, error)) (float64, error) {
-	cfg.fill()
-	sat := 0.0
-	for i := 1; ; i++ {
-		rate := cfg.Step * float64(i)
-		if rate > 1 {
-			break
-		}
-		if rate > 1-1e-9 {
-			rate = 1
-		}
-		sim, err := factory(rate)
-		if err != nil {
-			return 0, err
-		}
-		res := sim.RunMeasured(cfg.Warmup, cfg.Measure)
-		if res.Deadlocked {
-			break
-		}
-		// Zero deliveries only indicate saturation when packets were
-		// actually offered: a measurement window too short for any
-		// injection at a very low rate is not a saturated network.
-		if res.Injected > 0 && res.Delivered == 0 {
-			break
-		}
-		if res.AvgLatencyCycles() > cfg.LatencyCapCycles {
-			break
-		}
-		// Compare deliveries against the steady-state offered load.
-		if res.Injected > 0 && res.DeliveredFraction() < cfg.MinDelivered {
-			break
-		}
-		sat = rate
-	}
-	return sat, nil
-}

@@ -74,31 +74,3 @@ func TestSnapshotProbeDoesNotPerturbResults(t *testing.T) {
 		t.Errorf("snapshot probe perturbed results:\nplain:  %+v\nprobed: %+v", plain, probed)
 	}
 }
-
-func TestFindSaturationIgnoresEmptyWindow(t *testing.T) {
-	// A measurement window too short for any delivery must not report
-	// saturation at rate 0: zero deliveries only count when packets were
-	// actually offered. With a 1-cycle window nothing can ever be
-	// delivered (links alone take 2 cycles), so the pre-fix code declared
-	// saturation at the first candidate rate regardless of injections.
-	sf, _ := sfSim(t, 16, 4, 3)
-	pat := uniformPattern(t, sf.Cfg.N)
-	sat, err := FindSaturation(SaturationConfig{Step: 0.05, Warmup: 50, Measure: 1},
-		func(rate float64) (*Sim, error) {
-			s, err := New(SFConfig(sf, 11))
-			if err != nil {
-				return nil, err
-			}
-			s.SetPattern(rate, pat)
-			return s, nil
-		})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Every window with injections has Delivered == 0 and fails the
-	// criteria, so the search must stop at the last rate whose window was
-	// empty — strictly above zero for a 16-router network at step 0.05.
-	if sat <= 0 {
-		t.Errorf("saturation = %v with an empty 1-cycle window, want > 0", sat)
-	}
-}

@@ -7,9 +7,8 @@ import (
 	"repro/internal/design"
 )
 
-// Options configures a network. It remains the plain-struct configuration
-// surface behind NewFromOptions; new code should prefer the functional
-// options accepted by New.
+// Options configures a network; the functional options accepted by New
+// fill it in.
 type Options struct {
 	// Design selects the topology design: "sf" (the default), the "s2"
 	// random baseline, the "dm"/"odm" meshes or the "fb"/"afb" flattened
@@ -85,13 +84,11 @@ func New(opts ...Option) (*Network, error) {
 	for _, opt := range opts {
 		opt(&o)
 	}
-	return NewFromOptions(o)
+	return newFromOptions(o)
 }
 
-// NewFromOptions deploys a network from a plain Options struct — the
-// pre-functional-options constructor, kept so existing callers compile
-// unchanged.
-func NewFromOptions(o Options) (*Network, error) {
+// newFromOptions deploys a network from a filled Options struct.
+func newFromOptions(o Options) (*Network, error) {
 	if o.Nodes == 0 {
 		return nil, fmt.Errorf("stringfigure: Options.Nodes required (use WithNodes)")
 	}

@@ -348,7 +348,7 @@ func (e *sweepExecutor) Run(ctx context.Context, raw json.RawMessage, pending []
 	if err != nil {
 		return err
 	}
-	net, err := NewFromOptions(Options{
+	net, err := newFromOptions(Options{
 		Design:  spec.Design,
 		Nodes:   spec.Nodes,
 		Ports:   spec.Ports,

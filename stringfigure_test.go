@@ -29,30 +29,6 @@ func TestNewDefaults(t *testing.T) {
 	}
 }
 
-func TestNewFromOptionsShim(t *testing.T) {
-	// The struct constructor and functional options must build identical
-	// networks from identical parameters.
-	a, err := NewFromOptions(Options{Nodes: 48, Seed: 9, Unidirectional: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := New(WithNodes(48), WithSeed(9), Unidirectional())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Ports() != b.Ports() || a.Spaces() != b.Spaces() {
-		t.Fatalf("shim mismatch: %d/%d ports, %d/%d spaces",
-			a.Ports(), b.Ports(), a.Spaces(), b.Spaces())
-	}
-	for v := 0; v < 48; v++ {
-		for s := 0; s < a.Spaces(); s++ {
-			if a.Coordinate(s, v) != b.Coordinate(s, v) {
-				t.Fatalf("coordinate (%d,%d) differs", s, v)
-			}
-		}
-	}
-}
-
 func TestRouteAndMD(t *testing.T) {
 	net, err := New(WithNodes(40), WithSeed(2))
 	if err != nil {
@@ -132,7 +108,8 @@ func TestTypedErrors(t *testing.T) {
 	if _, err := net.Route(10, 5); !errors.Is(err, ErrNodeDead) {
 		t.Errorf("route to dead node err = %v, want ErrNodeDead", err)
 	}
-	if _, err := net.SimulatePattern("bogus", 0.1, 10, 10); !errors.Is(err, ErrUnknownPattern) {
+	bogus := net.NewSession(SessionConfig{Rate: 0.1, Warmup: 10, Measure: 10})
+	if _, err := bogus.Run(SyntheticWorkload{Pattern: "bogus"}); !errors.Is(err, ErrUnknownPattern) {
 		t.Errorf("bogus pattern err = %v, want ErrUnknownPattern", err)
 	}
 	sess := net.NewSession(SessionConfig{Ops: 200})
@@ -194,7 +171,8 @@ func TestPathLengths(t *testing.T) {
 
 func TestSimulateUniform(t *testing.T) {
 	net, _ := New(WithNodes(32), WithSeed(4))
-	res, err := net.SimulateUniform(0.05, 400, 1200)
+	sess := net.NewSession(SessionConfig{Rate: 0.05, Warmup: 400, Measure: 1200, Seed: 5})
+	res, err := sess.Run(SyntheticWorkload{Pattern: "uniform"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +197,8 @@ func TestSimulateAfterGating(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	res, err := net.SimulatePattern("uniform", 0.05, 400, 1200)
+	sess := net.NewSession(SessionConfig{Rate: 0.05, Warmup: 400, Measure: 1200, Seed: 6})
+	res, err := sess.Run(SyntheticWorkload{Pattern: "uniform"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +222,8 @@ func TestSaturationRateSmall(t *testing.T) {
 		t.Skip("simulation sweep")
 	}
 	net, _ := New(WithNodes(16), WithSeed(1))
-	sat, err := net.SaturationRate()
+	sat, err := net.Saturation(SyntheticWorkload{Pattern: "uniform"},
+		SessionConfig{Seed: 2}, SaturationConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}

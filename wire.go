@@ -59,7 +59,7 @@ func (n *Network) spec() networkSpec {
 
 // build deploys the spec into a fresh Network.
 func (s networkSpec) build() (*Network, error) {
-	net, err := NewFromOptions(Options{
+	net, err := newFromOptions(Options{
 		Design:         s.Design,
 		Nodes:          s.Nodes,
 		Ports:          s.Ports,
